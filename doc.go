@@ -189,27 +189,25 @@
 //
 // # Result pipeline and caching
 //
-// SELECT results flow through an arena/columnar pipeline rather than a
+// SELECT results are carved from a per-statement arena rather than a
 // per-row make on the heap:
 //
 //   - Arena ownership. Every statement carves its result rows from a
-//     per-statement bump allocator (rowArena) backed by pooled
-//     fixed-size Value chunks. The returned Rows owns the arena:
-//     Rows.Close releases every chunk back to the pool wholesale — one
-//     pool round-trip per statement instead of one allocation per row —
-//     after which the row slices must not be touched. Rows.Detach
-//     copies the rows out into plain heap memory first, so detached
-//     results stay valid indefinitely (the contract long-lived callers
-//     rely on); Close is idempotent and nil-safe either way.
-//     Intermediate join rows live in a separate scratch arena released
-//     when the statement returns — projection always copies surviving
-//     values into the result arena, so no scratch reference escapes.
-//     Single-table unsorted projections additionally batch rows through
-//     a columnar buffer (colBatch) and fill column-at-a-time before
-//     transposing into arena rows (BenchmarkAblation_Arena tracks the
-//     B/op and allocs/op win; DB.SetLegacyResultAlloc restores the
-//     per-row make path as the ablation baseline, and
-//     TestArenaLegacyEquivalence proves the two paths row-identical).
+//     per-statement bump allocator (rowArena) over geometric slabs: the
+//     first holds 64 Values and each later one doubles, up to 8192
+//     (256 KiB). A small browse query pays for one 2 KiB slab; a
+//     100k-row projection for a few dozen full-size ones. Result rows
+//     are ordinary GC-owned memory with no lifetime contract — nothing
+//     is pooled or recycled, a Rows stays valid for as long as the
+//     caller holds it, and every row has cap == len, so an append to
+//     one row never writes into its neighbour. Intermediate join rows
+//     live in a separate scratch arena; projection copies surviving
+//     values into the result arena, so a retained result never pins
+//     them. Single-table unsorted projections stream each kept row
+//     straight from the scan into the arena (BenchmarkAblation_Arena
+//     tracks B/op and allocs/op), and TestArenaLegacyEquivalence proves
+//     them row-identical to the materialise-then-project route with a
+//     make per row.
 //
 //   - Result cache. DB.SetResultCache(bytes) arms an opt-in LRU of
 //     complete SELECT results keyed by statement text plus bound

@@ -1,188 +1,76 @@
 package sqldb
 
-import (
-	"sync"
+import "repro/internal/sqltypes"
 
-	"repro/internal/sqltypes"
-)
-
-// Arena/columnar result pipeline.
+// Result-row arena.
 //
 // Plain projections historically materialised one make([]Value, ncols)
 // per output row — the dominant allocation cost of the browse-style
 // queries the archive UI issues constantly (~36MB and ~100k allocs per
-// 100k projected rows). Two mechanisms remove it:
+// 100k projected rows). rowArena removes it: a bump allocator that
+// carves every projected row of one statement out of a few shared
+// slabs. Value structs are copied into the arena by value; string/BLOB
+// payloads are immutable Go strings shared with storage, so the arena
+// never needs to own byte data to stay safe.
 //
-//   - rowArena: a chunked bump allocator over []sqltypes.Value slabs.
-//     Every projected row of one statement is carved out of the same
-//     few chunks, and the whole set is released wholesale — returned to
-//     a process-wide pool — when the owning Rows is Closed. Value
-//     structs are copied into the arena by value; string/BLOB payloads
-//     are immutable Go strings shared with storage, so the arena never
-//     needs to own byte data to stay safe.
+// Slabs grow geometrically: the first holds arenaFirstSlab Values and
+// each later one doubles, up to arenaMaxSlab. A statement returning a
+// handful of rows therefore pays for one small slab, while a 100k-row
+// projection needs only a few dozen full-size ones.
 //
-//   - colBatch: a per-column batch buffer the streaming projection
-//     fills column-at-a-time (plain copy loops for bare column
-//     references, one evalExpr sweep per computed column) and then
-//     transposes into arena-backed rows. Projection cost becomes a few
-//     tight loops per 1024 rows instead of an interpreter dispatch and
-//     an allocation per row.
+// Result rows are ordinary GC-owned memory. Nothing is pooled or
+// recycled: a Rows stays valid for as long as the caller holds it, and
+// a slab is reclaimed once no row carved from it is reachable.
 //
-// Ownership rules (the contract doc.go documents for callers):
+// Intermediate join rows use a second, scratch arena (evalCtx.scratch).
+// The projection copies values out of them, never aliases them, so a
+// retained result does not pin the statement's join intermediates.
 //
-//   - Rows returned by Query/QueryContext/Stmt.Query own their arena.
-//     Rows.Close releases it; after Close the Data slices are invalid.
-//     Close is optional — an unclosed result is reclaimed by the GC
-//     like any other value, the chunks just miss the reuse pool.
-//   - Rows.Detach copies the result out of its arena onto the plain
-//     heap (and releases the arena), for callers that retain results
-//     indefinitely while closing eagerly elsewhere.
-//   - A nil *rowArena is the legacy allocation path: alloc falls back
-//     to make, byte-for-byte the pre-arena behaviour. This is the
-//     ablation baseline behind DB.SetLegacyResultAlloc and the oracle
-//     the arena property tests compare against.
-//
-// Intermediate join rows use a second, scratch arena that is released
-// when the statement finishes (the result rows copy values out of
-// them, never alias them), so the reuse benefits extend to the join
-// paths without pinning intermediates in the result's arena.
+// A nil *rowArena falls back to make per slice: the materialise-then-
+// project reference route (DB.materialiseResults) runs with nil arenas,
+// as do the DML and FROM-less SELECT contexts, which never allocate
+// result rows from one.
 
-// arenaChunkValues is the slab size in Value slots: 8192 × 32 bytes =
-// 256 KiB per chunk, large enough that a 100k-row projection needs a
-// few dozen chunk grabs, small enough that tiny results waste little.
-const arenaChunkValues = 8192
+const (
+	// arenaFirstSlab is the first slab's size in Value slots (2 KiB).
+	arenaFirstSlab = 64
+	// arenaMaxSlab caps slab growth: 8192 × 32 bytes = 256 KiB.
+	arenaMaxSlab = 8192
+)
 
-// arenaChunkPool recycles slabs across statements. Chunks are zeroed
-// before being returned so a pooled slab never pins old string payloads
-// and a use-after-Close reads NULLs, not another statement's rows.
-var arenaChunkPool = sync.Pool{
-	New: func() any { return make([]sqltypes.Value, arenaChunkValues) },
-}
-
-// rowArena is a chunked bump allocator for result-row value slices.
+// rowArena is a bump allocator for result-row value slices.
 // Not safe for concurrent use: each statement execution owns its own.
 type rowArena struct {
-	cur    []sqltypes.Value   // remaining free slots of the newest chunk
-	chunks [][]sqltypes.Value // full-capacity slabs, for release
+	cur  []sqltypes.Value // remaining free slots of the newest slab
+	last int              // size of the newest slab; 0 before the first
 }
 
 // alloc returns a zeroed n-slot slice backed by the arena (capacity
-// exactly n, so appends can never bleed into a neighbouring row). A nil
-// arena falls back to make — the legacy path. Requests larger than a
-// chunk are served straight from the heap.
+// exactly n, so appends can never bleed into a neighbouring row).
 func (a *rowArena) alloc(n int) []sqltypes.Value {
 	return a.allocCap(n, n)
 }
 
 // allocCap is alloc with extra capacity (len n, cap c ≥ n): the join
 // assembly builds combined rows by appending to a base prefix, and the
-// reserved capacity keeps that append inside the arena region.
+// reserved capacity keeps that append inside the arena region. A nil
+// arena, or a request larger than the largest slab, is served by make.
 func (a *rowArena) allocCap(n, c int) []sqltypes.Value {
 	if c < n {
 		c = n
 	}
-	if a == nil || c > arenaChunkValues {
+	if a == nil || c > arenaMaxSlab {
 		return make([]sqltypes.Value, n, c)
 	}
 	if c > len(a.cur) {
-		chunk := arenaChunkPool.Get().([]sqltypes.Value)
-		a.chunks = append(a.chunks, chunk)
-		a.cur = chunk
+		size := min(max(2*a.last, arenaFirstSlab), arenaMaxSlab)
+		for size < c {
+			size *= 2
+		}
+		a.last = size
+		a.cur = make([]sqltypes.Value, size)
 	}
 	s := a.cur[:n:c]
 	a.cur = a.cur[c:]
 	return s
-}
-
-// release returns every chunk to the pool, zeroed. The arena is
-// reusable (empty) afterwards; any slice previously handed out is
-// invalid. Nil-safe.
-func (a *rowArena) release() {
-	if a == nil {
-		return
-	}
-	for i, chunk := range a.chunks {
-		clear(chunk)
-		arenaChunkPool.Put(chunk) //nolint:staticcheck // slabs are slice values by design
-		a.chunks[i] = nil
-	}
-	a.chunks = a.chunks[:0]
-	a.cur = nil
-}
-
-// colBatchRows is how many source rows a colBatch buffers per flush.
-const colBatchRows = 1024
-
-// colBatch is the columnar projection buffer: source rows accumulate
-// (by reference — single-table scans alias storage rows, which is safe
-// under the statement's read lock), then flush projects them one
-// COLUMN at a time into per-column slabs and transposes the slabs into
-// arena-backed output rows.
-type colBatch struct {
-	proj   []Expr
-	colIdx []int // source slot for bare ColRef projections; -1 = general expr
-	cols   [][]sqltypes.Value
-	src    [][]sqltypes.Value
-}
-
-func newColBatch(proj []Expr) *colBatch {
-	cb := &colBatch{
-		proj:   proj,
-		colIdx: make([]int, len(proj)),
-		cols:   make([][]sqltypes.Value, len(proj)),
-		src:    make([][]sqltypes.Value, 0, colBatchRows),
-	}
-	for i, e := range proj {
-		cb.colIdx[i] = -1
-		if cr, ok := e.(*ColRef); ok && cr.Index >= 0 {
-			cb.colIdx[i] = cr.Index
-		}
-		cb.cols[i] = make([]sqltypes.Value, colBatchRows)
-	}
-	return cb
-}
-
-// push buffers one source row, reporting whether the batch is full and
-// must be flushed before the next push.
-func (cb *colBatch) push(row []sqltypes.Value) bool {
-	cb.src = append(cb.src, row)
-	return len(cb.src) == colBatchRows
-}
-
-// flush projects the buffered rows column-at-a-time and appends the
-// transposed, arena-backed rows to out.Data. The batch is empty after
-// a successful flush.
-func (cb *colBatch) flush(ctx *evalCtx, ar *rowArena, out *Rows) error {
-	n := len(cb.src)
-	if n == 0 {
-		return nil
-	}
-	for j := range cb.proj {
-		col := cb.cols[j]
-		if k := cb.colIdx[j]; k >= 0 {
-			// Bare column reference: a plain copy loop, no dispatch.
-			for i := 0; i < n; i++ {
-				col[i] = cb.src[i][k]
-			}
-			continue
-		}
-		for i := 0; i < n; i++ {
-			ctx.vals = cb.src[i]
-			v, err := evalExpr(cb.proj[j], ctx)
-			if err != nil {
-				return err
-			}
-			col[i] = v
-		}
-	}
-	ncols := len(cb.proj)
-	for i := 0; i < n; i++ {
-		row := ar.alloc(ncols)
-		for j := 0; j < ncols; j++ {
-			row[j] = cb.cols[j][i]
-		}
-		out.Data = append(out.Data, row)
-	}
-	cb.src = cb.src[:0]
-	return nil
 }

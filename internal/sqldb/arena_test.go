@@ -87,45 +87,44 @@ func rowsMustEqual(t *testing.T, name string, got, want *Rows) {
 	}
 }
 
-// TestArenaLegacyEquivalence checks the arena/columnar result path
-// produces exactly the same rows as the legacy per-row allocation path
-// across projections, sorts, top-k, LIMIT without ORDER BY (both paths
-// scan in the same deterministic order, so early-stop picks identical
-// rows), DISTINCT, joins and aggregates.
+// TestArenaLegacyEquivalence checks the streaming arena projection
+// produces exactly the same rows as the materialise-then-project route
+// with one make per row, across projections, sorts, top-k, LIMIT
+// without ORDER BY (both paths scan in the same deterministic order, so
+// early-stop picks identical rows), DISTINCT, joins and aggregates.
+// Every arena row must have cap == len, so an append to one row can
+// never write into its neighbour.
 func TestArenaLegacyEquivalence(t *testing.T) {
 	db := memDB(t)
 	arenaFixture(t, db)
 	for _, shape := range arenaShapes {
-		db.SetLegacyResultAlloc(true)
+		db.materialiseResults = true
 		want := mustQuery(t, db, shape.sql)
-		want.Detach()
-		db.SetLegacyResultAlloc(false)
+		db.materialiseResults = false
 		got := mustQuery(t, db, shape.sql)
-		got.Detach()
 		rowsMustEqual(t, shape.name, got, want)
-		got.Close()
-		want.Close()
+		for i, row := range got.Data {
+			if cap(row) != len(row) {
+				t.Fatalf("%s row %d: cap %d != len %d", shape.name, i, cap(row), len(row))
+			}
+		}
 	}
 }
 
-// TestArenaDetachSurvivesReuse: Detach must copy rows out of the arena
-// so they stay valid after Close returns the chunks to the pool and
-// later statements reuse them.
-func TestArenaDetachSurvivesReuse(t *testing.T) {
+// TestArenaEarlierResultSurvivesLaterStatements: a result stays intact
+// after many later statements run and their callers scribble over
+// their own rows — no statement ever hands out memory another result
+// still references.
+func TestArenaEarlierResultSurvivesLaterStatements(t *testing.T) {
 	db := memDB(t)
 	arenaFixture(t, db)
 
-	detached := mustQuery(t, db, `SELECT id, name, score FROM sim WHERE bucket = 2 ORDER BY id`)
-	detached.Detach()
-	snapshot := make([][]string, len(detached.Data))
-	for i, row := range detached.Data {
+	earlier := mustQuery(t, db, `SELECT id, name, score FROM sim WHERE bucket = 2 ORDER BY id`)
+	snapshot := make([][]string, len(earlier.Data))
+	for i, row := range earlier.Data {
 		snapshot[i] = []string{row[0].String(), row[1].String(), row[2].String()}
 	}
-	detached.Close() // must be a no-op for detached rows' data
 
-	// Churn the chunk pool hard: these queries allocate and release
-	// arenas that would alias the detached rows if Detach had not
-	// copied them out.
 	for i := 0; i < 50; i++ {
 		r := mustQuery(t, db, `SELECT * FROM sim`)
 		for ri := range r.Data {
@@ -133,31 +132,52 @@ func TestArenaDetachSurvivesReuse(t *testing.T) {
 				r.Data[ri][ci] = sqltypes.NewString("CLOBBER")
 			}
 		}
-		r.Close()
 	}
 
-	if len(detached.Data) != len(snapshot) {
-		t.Fatalf("detached rows shrank: %d != %d", len(detached.Data), len(snapshot))
+	if len(earlier.Data) != len(snapshot) {
+		t.Fatalf("earlier rows shrank: %d != %d", len(earlier.Data), len(snapshot))
 	}
-	for i, row := range detached.Data {
+	for i, row := range earlier.Data {
 		for j := range row {
 			if row[j].String() != snapshot[i][j] {
-				t.Fatalf("detached row %d col %d corrupted: %s != %s", i, j, row[j].String(), snapshot[i][j])
+				t.Fatalf("earlier row %d col %d corrupted: %s != %s", i, j, row[j].String(), snapshot[i][j])
 			}
 		}
 	}
+}
 
-	// Close is idempotent and nil-safe.
-	detached.Close()
-	detached.Close()
-	var nilRows *Rows
-	nilRows.Close()
+// TestArenaSlabGrowth pins the slab policy: the first slab holds
+// arenaFirstSlab Values, each later one doubles up to arenaMaxSlab, and
+// a request larger than the largest slab comes straight from make.
+func TestArenaSlabGrowth(t *testing.T) {
+	var a rowArena
+	var sizes []int
+	for i := 0; i < 40000; i++ {
+		free := len(a.cur)
+		row := a.alloc(3)
+		if len(row) != 3 || cap(row) != 3 {
+			t.Fatalf("row %d: len %d cap %d, want 3/3", i, len(row), cap(row))
+		}
+		if free < 3 {
+			sizes = append(sizes, len(a.cur)+3)
+		}
+	}
+	want := []int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 8192}
+	for i, w := range want {
+		if i >= len(sizes) || sizes[i] != w {
+			t.Fatalf("slab sizes %v, want prefix %v", sizes, want)
+		}
+	}
+	before := len(a.cur)
+	if big := a.alloc(arenaMaxSlab + 1); len(big) != arenaMaxSlab+1 || len(a.cur) != before {
+		t.Fatalf("oversized request touched the arena: len %d, free %d -> %d", len(big), before, len(a.cur))
+	}
 }
 
 // TestArenaConcurrentQueries runs many readers against the arena path
 // while a writer mutates the table, under -race. Each reader verifies a
-// per-row invariant (score == id * 0.25) that chunk-reuse corruption
-// would break.
+// per-row invariant (score == id * 0.25) that rows shared between
+// statements would break.
 func TestArenaConcurrentQueries(t *testing.T) {
 	db := memDB(t)
 	arenaFixture(t, db)
@@ -197,11 +217,9 @@ func TestArenaConcurrentQueries(t *testing.T) {
 					id, score := row[0].Int(), row[1].Double()
 					if score != float64(id)*0.25 {
 						t.Errorf("row invariant broken: id=%d score=%v", id, score)
-						rows.Close()
 						return
 					}
 				}
-				rows.Close()
 			}
 		}()
 	}

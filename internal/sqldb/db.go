@@ -66,14 +66,11 @@ type Result struct {
 // safe to read from any goroutine) after the query returns, concurrent
 // with later writes.
 //
-// Result rows are backed by a per-statement arena (arena.go). Close
-// releases the arena's chunks to a reuse pool wholesale; after Close
-// the Data slices must not be read. Close is optional — an unclosed
-// result is reclaimed by the GC like any other value, its chunks just
-// miss the pool. Callers that retain a result indefinitely while
-// closing eagerly elsewhere call Detach first, which copies the rows
-// onto the plain heap (the detached-Rows contract: detach forces a
-// copy-out, after which Close is a no-op).
+// Result rows are ordinary GC-owned memory with no lifetime contract:
+// a Rows stays valid for as long as the caller holds it, and the caller
+// may mutate Data freely. Rows of one statement are carved from shared
+// slabs (arena.go), each with capacity equal to its length, so an
+// append to one row never writes into its neighbour.
 type Rows struct {
 	Columns []string
 	Kinds   []sqltypes.Kind
@@ -82,48 +79,6 @@ type Rows struct {
 	// colIdx caches upper-cased column name → position so per-cell Get
 	// calls (the result-page render path) avoid an O(columns) scan.
 	colIdx map[string]int
-
-	// arena backs the Data row slices when the statement ran on the
-	// arena path; nil for legacy-allocated, detached and cache-served
-	// results (whose rows live on the plain heap).
-	arena *rowArena
-}
-
-// Close releases the result's arena-backed row storage to the reuse
-// pool. The Data slices are invalid afterwards. Nil-safe, idempotent,
-// and a no-op for detached or legacy-allocated results.
-func (r *Rows) Close() {
-	if r == nil || r.arena == nil {
-		return
-	}
-	ar := r.arena
-	r.arena = nil
-	r.Data = nil
-	ar.release()
-}
-
-// Detach copies the result out of its arena onto the plain heap, so it
-// stays valid indefinitely even if the arena's chunks are recycled.
-// After Detach, Close is a no-op. Nil-safe; detaching an already plain
-// result does nothing.
-func (r *Rows) Detach() {
-	if r == nil || r.arena == nil {
-		return
-	}
-	ar := r.arena
-	r.arena = nil
-	if n := len(r.Data); n > 0 {
-		ncols := 0
-		for _, row := range r.Data {
-			ncols += len(row)
-		}
-		flat := make([]sqltypes.Value, 0, ncols)
-		for i, row := range r.Data {
-			flat = append(flat, row...)
-			r.Data[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
-		}
-	}
-	ar.release()
 }
 
 // newRows builds a result shell with the column-lookup cache populated.
@@ -299,10 +254,11 @@ type DB struct {
 	// the ablation baseline and property oracle. See SetLegacyAggregation.
 	legacyAggregation bool
 
-	// legacyResults disables the arena/columnar result path: every
-	// result row is an individual make, the pre-arena behaviour — the
-	// ablation baseline and property oracle. See SetLegacyResultAlloc.
-	legacyResults bool
+	// materialiseResults is test-only: it routes every SELECT through
+	// materialise-then-project with one make per result row (nil
+	// arenas), the reference the streaming arena projection is checked
+	// against (TestArenaLegacyEquivalence).
+	materialiseResults bool
 
 	// rcache is the opt-in query result cache (resultcache.go); nil
 	// when disabled. Swapped atomically so the read path loads it
@@ -626,18 +582,6 @@ func (db *DB) SetLegacyAggregation(on bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.legacyAggregation = on
-}
-
-// SetLegacyResultAlloc routes (on=true) result materialisation through
-// the pre-arena allocator — one make([]Value, ...) per output row —
-// instead of the per-statement arena and columnar projection batches
-// (arena.go). Results are identical (the arena property tests compare
-// the two); this is the ablation baseline for BenchmarkAblation_Arena
-// and the oracle those tests use.
-func (db *DB) SetLegacyResultAlloc(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.legacyResults = on
 }
 
 // SetResultCache enables the query result cache with the given byte

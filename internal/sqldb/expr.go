@@ -104,11 +104,11 @@ type evalCtx struct {
 	// every check/charge a no-op.
 	intr *interrupt
 
-	// ar backs the statement's result rows (owned by the returned Rows,
-	// released on Rows.Close); scratch backs intermediate rows — joined
-	// tuples the projection copies out of — and is released when the
-	// statement finishes. Both nil on the legacy allocation path, which
-	// makes every arena alloc an ordinary make (see arena.go).
+	// ar backs the statement's result rows; scratch backs intermediate
+	// rows — joined tuples the projection copies out of — so a retained
+	// result does not pin them. Both nil for DML, FROM-less SELECT and
+	// the materialise-then-project reference route, which makes every
+	// arena alloc an ordinary make (see arena.go).
 	ar      *rowArena
 	scratch *rowArena
 

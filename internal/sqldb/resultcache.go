@@ -207,7 +207,7 @@ func entryBytes(rows *Rows) int64 {
 // insert stores a completed result set, charging the memory budget and
 // evicting LRU entries to fit. Oversized results (rows or bytes) are
 // silently skipped — the statement already succeeded. The rows are
-// deep-copied: the caller's Rows may be arena-backed and Closed later.
+// deep-copied: the caller owns the returned Rows and may mutate Data.
 func (rc *resultCache) insert(key, stmtText string, tables []*tableData, rows *Rows, asOf, epoch uint64) {
 	if len(rows.Data) > resultCacheMaxRows {
 		return

@@ -29,12 +29,10 @@ func TestResultCacheHitAndAccessPath(t *testing.T) {
 
 	const q = `SELECT id, v FROM t WHERE id > 1 ORDER BY id`
 	first := mustQuery(t, db, q)
-	first.Detach()
 	if got := counterValue(t, db, "sqldb_result_cache_misses_total"); got != 1 {
 		t.Fatalf("misses after first query = %d, want 1", got)
 	}
 	second := mustQuery(t, db, q)
-	second.Detach()
 	if got := counterValue(t, db, "sqldb_result_cache_hits_total"); got != 1 {
 		t.Fatalf("hits after second query = %d, want 1", got)
 	}
@@ -68,8 +66,6 @@ func TestResultCacheHitAndAccessPath(t *testing.T) {
 	if r1.Data[0][0].AsString() != "a" || r2.Data[0][0].AsString() != "b" {
 		t.Fatalf("args not part of the cache key: %v / %v", r1.Data, r2.Data)
 	}
-	r1.Close()
-	r2.Close()
 }
 
 // TestResultCacheInvalidationOnWrite: a committed write to a referenced
@@ -84,31 +80,27 @@ func TestResultCacheInvalidationOnWrite(t *testing.T) {
 	if r.Data[0][0].Int() != 2 {
 		t.Fatalf("count = %v, want 2", r.Data[0][0])
 	}
-	r.Close()
-	mustQuery(t, db, q).Close() // hit, warm the entry
+	mustQuery(t, db, q) // hit, warm the entry
 
 	mustExec(t, db, `INSERT INTO t VALUES (3, 30)`)
 	r = mustQuery(t, db, q)
 	if r.Data[0][0].Int() != 3 || r.Data[0][1].Int() != 60 {
 		t.Fatalf("post-insert cached read stale: %v", r.Data)
 	}
-	r.Close()
 
-	mustQuery(t, db, q).Close()
+	mustQuery(t, db, q)
 	mustExec(t, db, `UPDATE t SET v = 0 WHERE id = 1`)
 	r = mustQuery(t, db, q)
 	if r.Data[0][1].Int() != 50 {
 		t.Fatalf("post-update cached read stale: %v", r.Data)
 	}
-	r.Close()
 
-	mustQuery(t, db, q).Close()
+	mustQuery(t, db, q)
 	mustExec(t, db, `DELETE FROM t WHERE id = 3`)
 	r = mustQuery(t, db, q)
 	if r.Data[0][0].Int() != 2 || r.Data[0][1].Int() != 20 {
 		t.Fatalf("post-delete cached read stale: %v", r.Data)
 	}
-	r.Close()
 
 	if got := counterValue(t, db, "sqldb_result_cache_invalidations_total"); got == 0 {
 		t.Fatal("invalidations counter never advanced")
@@ -121,7 +113,7 @@ func TestResultCacheDDLFlush(t *testing.T) {
 	db := cacheDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR(10))`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'a')`)
-	mustQuery(t, db, `SELECT v FROM t`).Close()
+	mustQuery(t, db, `SELECT v FROM t`)
 	rc := db.rcache.Load()
 	if rc.entryCount() != 1 {
 		t.Fatalf("entries before DDL = %d, want 1", rc.entryCount())
@@ -137,7 +129,6 @@ func TestResultCacheDDLFlush(t *testing.T) {
 	if r.Data[0][0].AsString() != "a" {
 		t.Fatalf("post-DDL query: %v", r.Data)
 	}
-	r.Close()
 }
 
 // TestResultCacheLRUEviction: a byte-capped cache evicts least-recently
@@ -154,8 +145,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	// One row per entry (~240 bytes) stays under the per-entry cap
 	// (capBytes/8); forty of them overflow the 8 KiB cache.
 	for i := 0; i < 40; i++ {
-		r := mustQuery(t, db, fmt.Sprintf(`SELECT id, pad FROM t WHERE id = %d`, i))
-		r.Close()
+		mustQuery(t, db, fmt.Sprintf(`SELECT id, pad FROM t WHERE id = %d`, i))
 		if used, cap := rc.bytesUsed(), int64(8<<10); used > cap {
 			t.Fatalf("cache bytes %d exceed cap %d", used, cap)
 		}
@@ -214,8 +204,6 @@ func TestResultCacheEquivalenceSequential(t *testing.T) {
 			q := queries[rng.Intn(len(queries))]
 			a, b := mustQuery(t, on, q), mustQuery(t, off, q)
 			rowsMustEqual(t, fmt.Sprintf("step %d %s", step, q), a, b)
-			a.Close()
-			b.Close()
 		}
 	}
 	if counterValue(t, on, "sqldb_result_cache_hits_total") == 0 {
@@ -253,7 +241,6 @@ func TestResultCacheConcurrentNoStaleReads(t *testing.T) {
 					return
 				}
 				n := rows.Data[0][0].Int()
-				rows.Close()
 				if n < last {
 					t.Errorf("reader count went backwards: %d after %d", n, last)
 					return
@@ -269,7 +256,6 @@ func TestResultCacheConcurrentNoStaleReads(t *testing.T) {
 		if n := rows.Data[0][0].Int(); n != int64(i+1) {
 			t.Fatalf("stale read after commit: COUNT = %d, want %d", n, i+1)
 		}
-		rows.Close()
 	}
 	close(stop)
 	readers.Wait()
@@ -298,7 +284,7 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString(pad))
 	}
 
-	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`).Close()
+	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`)
 	rc := db.rcache.Load()
 	held := db.MemoryInUse()
 	if held <= 0 || held != rc.bytesUsed() {
@@ -309,7 +295,6 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 	if len(r.Data) != 50 {
 		t.Fatalf("big query rows = %d, want 50", len(r.Data))
 	}
-	r.Close()
 	if rc.hasStmt(`SELECT id, pad FROM big`) {
 		t.Fatal("over-budget entry was published")
 	}
@@ -318,7 +303,7 @@ func TestResultCacheMemoryBudget(t *testing.T) {
 	}
 
 	// The small entry is still live and served.
-	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`).Close()
+	mustQuery(t, db, `SELECT id, v FROM small ORDER BY id`)
 	if counterValue(t, db, "sqldb_result_cache_hits_total") == 0 {
 		t.Fatal("small entry lost")
 	}
@@ -361,7 +346,6 @@ func TestResultCacheCancellationNoPartialEntry(t *testing.T) {
 	if len(r.Data) != 500 {
 		t.Fatalf("rows = %d, want 500", len(r.Data))
 	}
-	r.Close()
 	if !rc.hasStmt(q) {
 		t.Fatal("live statement did not cache")
 	}
@@ -430,7 +414,7 @@ func TestResultCacheSnapshotTxBypass(t *testing.T) {
 	db := cacheDB(t)
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1)`)
-	mustQuery(t, db, `SELECT COUNT(*) FROM t`).Close() // seed the entry
+	mustQuery(t, db, `SELECT COUNT(*) FROM t`) // seed the entry
 
 	tx, err := db.Begin()
 	if err != nil {
@@ -446,7 +430,6 @@ func TestResultCacheSnapshotTxBypass(t *testing.T) {
 	if n := rows.Data[0][0].Int(); n != 2 {
 		t.Fatalf("tx sees COUNT = %d, want 2 (own write)", n)
 	}
-	rows.Close()
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
@@ -454,5 +437,4 @@ func TestResultCacheSnapshotTxBypass(t *testing.T) {
 	if n := r.Data[0][0].Int(); n != 2 {
 		t.Fatalf("post-commit COUNT = %d, want 2", n)
 	}
-	r.Close()
 }

@@ -318,17 +318,15 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	orderBound := plan.orderBound
 
 	ctx := &evalCtx{params: params, now: db.nowFn(), snap: snap, intr: ic}
-	if !db.legacyResults {
-		// Result rows live in ar, owned by the returned Rows and released
-		// on Rows.Close. Intermediate joined rows live in scratch, whose
-		// chunks go back to the pool as soon as the statement finishes —
-		// everything that references them (outRow.src/group, groupState
-		// first rows) dies with this call; the projection copied their
-		// values out into ar. A nil arena (legacy mode) makes every arena
-		// alloc an ordinary make — see arena.go.
+	if !db.materialiseResults {
+		// Result rows live in ar. Intermediate joined rows live in a
+		// separate scratch arena: everything that references them
+		// (outRow.src/group, groupState first rows) dies with this call
+		// and the projection copies their values out into ar, so a
+		// retained result never pins the intermediates. Nil arenas make
+		// every alloc an ordinary make — see arena.go.
 		ctx.ar = &rowArena{}
 		ctx.scratch = &rowArena{}
-		defer ctx.scratch.release()
 	}
 
 	// Index-only aggregation: COUNT/MIN/MAX over a residual-free path
@@ -355,14 +353,13 @@ func (db *DB) runSelectAt(plan *selectPlan, params []sqltypes.Value, snap uint64
 	columns := make([]string, len(labels))
 	copy(columns, labels)
 	out := newRows(columns, kinds)
-	out.arena = ctx.ar
 
-	// Streaming columnar projection: a plain single-table SELECT with no
+	// Streaming projection: a plain single-table SELECT with no
 	// DISTINCT/ORDER BY to reshape the row set projects straight from
-	// the scan through per-column batches into arena rows — no outRow
-	// buffering, no per-row allocation, and an early stop at
-	// OFFSET+LIMIT (legal: with no ORDER BY the row order is whatever
-	// the scan delivers, and both paths scan in the same order).
+	// the scan into arena rows — no outRow buffering, no per-row
+	// allocation, and an early stop at OFFSET+LIMIT (legal: with no
+	// ORDER BY the row order is whatever the scan delivers, and both
+	// paths scan in the same order).
 	if !aggregated && !s.Distinct && len(s.OrderBy) == 0 &&
 		len(plan.tables) == 1 && ctx.ar != nil {
 		endScan := tr.span("scan")
@@ -608,10 +605,11 @@ func backfillKinds(out *Rows) {
 	}
 }
 
-// projectSingleTable is the streaming columnar projection fast path:
-// scan the single FROM table with the WHERE fused in, skip OFFSET kept
-// rows, stop after LIMIT projected rows, and project through colBatch
-// into arena-backed rows appended to out.Data. Requires ctx.ar != nil;
+// projectSingleTable is the streaming projection fast path: scan the
+// single FROM table with the WHERE fused in, skip OFFSET kept rows,
+// stop after LIMIT projected rows, and project each kept row straight
+// into an arena-backed row appended to out.Data — a plain copy for a
+// bare column reference, evalExpr otherwise. Requires ctx.ar != nil;
 // only reached for non-aggregated, non-DISTINCT, unordered plans.
 func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) error {
 	s := plan.stmt
@@ -631,10 +629,19 @@ func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) erro
 	if est > 0 && out.Data == nil {
 		out.Data = make([][]sqltypes.Value, 0, est)
 	}
-	cb := newColBatch(plan.proj)
+	proj := plan.proj
+	// colIdx[j] is the source slot of a bare column reference, -1 for a
+	// computed expression.
+	colIdx := make([]int, len(proj))
+	for j, e := range proj {
+		colIdx[j] = -1
+		if cr, ok := e.(*ColRef); ok && cr.Index >= 0 {
+			colIdx[j] = cr.Index
+		}
+	}
 	skip := s.Offset
 	kept := 0
-	charge := rowFootprint(len(plan.proj))
+	charge := rowFootprint(len(proj))
 	var scanErr error
 	visit := func(vals []sqltypes.Value) bool {
 		// Per-row cancellation checkpoint for both scan flavours below.
@@ -662,12 +669,21 @@ func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) erro
 			scanErr = err
 			return false
 		}
-		if cb.push(vals) {
-			if err := cb.flush(ctx, ctx.ar, out); err != nil {
+		row := ctx.ar.alloc(len(proj))
+		ctx.vals = vals
+		for j, e := range proj {
+			if k := colIdx[j]; k >= 0 {
+				row[j] = vals[k]
+				continue
+			}
+			v, err := evalExpr(e, ctx)
+			if err != nil {
 				scanErr = err
 				return false
 			}
+			row[j] = v
 		}
+		out.Data = append(out.Data, row)
 		kept++
 		return s.Limit < 0 || kept < s.Limit
 	}
@@ -686,10 +702,7 @@ func (db *DB) projectSingleTable(plan *selectPlan, ctx *evalCtx, out *Rows) erro
 			return visit(vals)
 		})
 	}
-	if scanErr != nil {
-		return scanErr
-	}
-	return cb.flush(ctx, ctx.ar, out)
+	return scanErr
 }
 
 // materialiseRows collects the candidate row set for the non-folding
@@ -863,9 +876,8 @@ func (db *DB) joinRows(plan *selectPlan, ctx *evalCtx) ([][]sqltypes.Value, erro
 					return err
 				}
 				// Joined rows are statement-lifetime intermediates: they
-				// live in the scratch arena (released when the statement
-				// finishes), never in the result arena — the projection
-				// copies values out of them.
+				// live in the scratch arena, never in the result arena —
+				// the projection copies values out of them.
 				combined := ctx.scratch.allocCap(len(base), width)
 				copy(combined, base)
 				combined = append(combined, vals...)
